@@ -337,33 +337,38 @@ func TestResetReproducesFreshSimulator(t *testing.T) {
 }
 
 // TestResetAcrossGeometries checks Reset rebuilds when the machine itself
-// changes (core count, mesh, caches), matching fresh construction.
+// changes (core count, mesh, caches), matching fresh construction. One
+// simulator walks a chain of machines, so its reused run queue grows,
+// shrinks and regrows, including to a core count that is not a power of
+// two (padded tree leaves).
 func TestResetAcrossGeometries(t *testing.T) {
 	small := diffConfig()
 	big := diffConfig()
 	big.Cores, big.MeshWidth, big.MemControllers = 8, 4, 4
 	big.L1DSizeKB, big.L2SizeKB = 2, 8
-
-	progSmall := buildRandomProgram(rand.New(rand.NewSource(9)), small.Cores)
-	progBig := buildRandomProgram(rand.New(rand.NewSource(10)), big.Cores)
-
-	freshSim, freshRes := runProgram(t, big, false, progBig)
+	odd := diffConfig()
+	odd.Cores, odd.MeshWidth, odd.MemControllers = 12, 6, 4
 
 	s, err := New(small)
 	if err != nil {
 		t.Fatal(err)
 	}
+	progSmall := buildRandomProgram(rand.New(rand.NewSource(9)), small.Cores)
 	if _, err := s.Run(sliceStreams(progSmall)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reset(big); err != nil {
-		t.Fatal(err)
+	for i, cfg := range []Config{big, odd, small, odd} {
+		prog := buildRandomProgram(rand.New(rand.NewSource(int64(10+i))), cfg.Cores)
+		freshSim, freshRes := runProgram(t, cfg, false, prog)
+		if err := s.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(sliceStreams(prog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareStates(t, fmt.Sprintf("geometry reset %d to %d cores", i, cfg.Cores), s, res, freshSim, freshRes)
 	}
-	res, err := s.Run(sliceStreams(progBig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareStates(t, "geometry reset", s, res, freshSim, freshRes)
 }
 
 // TestResetRejectsBadConfig pins the error path: a failed Reset reports
@@ -495,6 +500,10 @@ func TestEngineBatchedVsGeneric(t *testing.T) {
 		}},
 		{"2core-2x1", func(c *Config) {
 			c.Cores, c.MeshWidth, c.MemControllers = 2, 2, 2
+		}},
+		// Not a power of two: the run queue's tree carries padding leaves.
+		{"12core-6x2", func(c *Config) {
+			c.Cores, c.MeshWidth, c.MemControllers = 12, 6, 4
 		}},
 	}
 	programs := []struct {

@@ -3,7 +3,7 @@ package sim
 // The execution engine: the run loop that drains the per-core run queue.
 //
 // Two formulations coexist. runGeneric is the reference: one operation per
-// heap touch, protocol dispatch through the Protocol interface — the loop
+// run-queue re-key, protocol dispatch through the Protocol interface — the loop
 // as originally written, kept verbatim as the semantic baseline the
 // differential tests replay against (TestEngineBatchedVsGeneric).
 //
@@ -11,14 +11,15 @@ package sim
 // applies two transforms that leave the execution order provably unchanged:
 //
 //   - Horizon batching. The outer loop snapshots the run queue's second
-//     smallest key (coreQueue.horizon). While the root core's re-keyed
-//     (time, id) stays strictly below that horizon it is still the global
+//     smallest key (coreQueue.horizon: the minimum over the siblings on
+//     the root core's tree path). While the root core's packed (time, id)
+//     key stays strictly below that horizon it is still the global
 //     minimum — nothing else touches the queue during data accesses, so
 //     the other keys are frozen — and the pop/push formulation would pick
 //     it again. The inner loop therefore retires an entire run of the root
-//     core's accesses with zero heap operations, re-keying once when the
+//     core's accesses without touching the queue, re-keying once when the
 //     core crosses the horizon. Synchronization operations (barrier, lock,
-//     unlock) and stream exhaustion reshape the heap, so they end the
+//     unlock) and stream exhaustion reshape the queue, so they end the
 //     batch and fall back to the shared slow-path helpers.
 //
 //   - Monomorphic dispatch. Run type-switches once on the configured
@@ -79,14 +80,13 @@ func (s *Simulator) runEngine() error {
 
 // runGeneric is the reference engine: the globally earliest core executes
 // one operation as an atomic transaction, then is re-keyed at its advanced
-// clock. The core stays at the heap root while it executes (nothing else
-// touches the queue mid-transaction), so the requeue is a replaceTop — a
-// single sift-down that degenerates to two comparisons in the common case
-// of a core staying earliest across consecutive L1 hits — instead of a
-// full pop+push cycle. Keys are unique ((time, id) with ids distinct), so
-// the execution order is identical to the pop+push formulation.
+// clock. The core stays at the queue root while it executes (nothing else
+// touches the queue mid-transaction), so the requeue is a replaceTop — one
+// leaf write and a fixed-depth replay — instead of a pop+push pair. Keys
+// are unique ((time, id) with ids distinct), so the execution order is
+// identical to the pop+push formulation.
 func (s *Simulator) runGeneric() error {
-	for len(s.runQ.q) > 0 {
+	for !s.runQ.empty() {
 		id := s.runQ.top()
 		c := &s.cores[id]
 		a, ok := c.next()
@@ -112,7 +112,7 @@ func (s *Simulator) runGeneric() error {
 	return nil
 }
 
-// retireTop marks the heap-root core's stream exhausted and removes it,
+// retireTop marks the root core's stream exhausted and removes it,
 // releasing a barrier its exit may complete.
 func (s *Simulator) retireTop(c *coreState) {
 	c.done = true
@@ -129,7 +129,7 @@ type syncSelfInvalidator interface {
 	syncSelfInvalidate(c *coreState)
 }
 
-// syncOp executes a non-data operation for the heap-root core. All of them
+// syncOp executes a non-data operation for the root core. All of them
 // may reshape the run queue (parking, granting or releasing cores), so the
 // batched loops end their batch after calling it.
 func (s *Simulator) syncOp(c *coreState, a mem.Access) error {
@@ -158,8 +158,8 @@ func (s *Simulator) syncOp(c *coreState, a mem.Access) error {
 // locality-aware adaptive protocol. See the package comment above for the
 // invariants; the body must stay in lock-step with runMESI and runDragon.
 func (s *Simulator) runAdaptive(p *adaptiveProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -214,7 +214,7 @@ func (s *Simulator) runAdaptive(p *adaptiveProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)
@@ -227,8 +227,8 @@ func (s *Simulator) runAdaptive(p *adaptiveProtocol) error {
 // runMESI is the monomorphic horizon-batched engine for the full-map MESI
 // baseline; lock-step copy of runAdaptive.
 func (s *Simulator) runMESI(p *mesiProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -283,7 +283,7 @@ func (s *Simulator) runMESI(p *mesiProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)
@@ -298,8 +298,8 @@ func (s *Simulator) runMESI(p *mesiProtocol) error {
 // dead under DLS (no data line is ever installed), but stays verbatim so
 // the loops remain textually identical.
 func (s *Simulator) runDLS(p *dlsProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -354,7 +354,7 @@ func (s *Simulator) runDLS(p *dlsProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)
@@ -368,8 +368,8 @@ func (s *Simulator) runDLS(p *dlsProtocol) error {
 // self-invalidation baseline; lock-step copy of runAdaptive. The
 // self-invalidation hook lives in syncOp, which already ends every batch.
 func (s *Simulator) runNeat(p *neatProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -424,7 +424,7 @@ func (s *Simulator) runNeat(p *neatProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)
@@ -437,8 +437,8 @@ func (s *Simulator) runNeat(p *neatProtocol) error {
 // runHybrid is the monomorphic horizon-batched engine for the MESI/Dragon
 // switching baseline; lock-step copy of runAdaptive.
 func (s *Simulator) runHybrid(p *hybridProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -493,7 +493,7 @@ func (s *Simulator) runHybrid(p *hybridProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)
@@ -506,8 +506,8 @@ func (s *Simulator) runHybrid(p *hybridProtocol) error {
 // runDragon is the monomorphic horizon-batched engine for the Dragon
 // write-update baseline; lock-step copy of runAdaptive.
 func (s *Simulator) runDragon(p *dragonProtocol) error {
-	for len(s.runQ.q) > 0 {
-		id := s.runQ.q[0].id
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
 		c := &s.cores[id]
 		hz := s.runQ.horizon()
 		l1 := s.tiles[id].l1d
@@ -562,7 +562,7 @@ func (s *Simulator) runDragon(p *dragonProtocol) error {
 			} else {
 				p.missPath(c, a.Kind, a.Addr, line != nil)
 			}
-			if c.now < hz.now || (c.now == hz.now && id < hz.id) {
+			if queueKey(c.now, id) < hz {
 				continue
 			}
 			s.runQ.replaceTop(c.now, id)

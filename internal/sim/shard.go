@@ -92,7 +92,7 @@ type pendingEvict struct {
 // the shard's core count; see the boundedness argument in the package
 // comment. Overflow panics — it would mean a core was enqueued twice.
 type shardFIFO struct {
-	buf  []queuedCore
+	buf  []uint64
 	head int
 	size int
 }
@@ -101,40 +101,36 @@ func (f *shardFIFO) init(capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	f.buf = make([]queuedCore, capacity)
+	f.buf = make([]uint64, capacity)
 	f.head, f.size = 0, 0
 }
 
-func (f *shardFIFO) push(qc queuedCore) {
+func (f *shardFIFO) push(k uint64) {
 	if f.size == len(f.buf) {
 		panic("sim: shard inbox overflow")
 	}
-	f.buf[(f.head+f.size)%len(f.buf)] = qc
+	f.buf[(f.head+f.size)%len(f.buf)] = k
 	f.size++
 }
 
-func (f *shardFIFO) pop() (queuedCore, bool) {
+func (f *shardFIFO) pop() (uint64, bool) {
 	if f.size == 0 {
-		return queuedCore{}, false
+		return 0, false
 	}
-	qc := f.buf[f.head]
+	k := f.buf[f.head]
 	f.head = (f.head + 1) % len(f.buf)
 	f.size--
-	return qc, true
+	return k, true
 }
 
-// minKey returns the smallest (time, id) key currently buffered.
-func (f *shardFIFO) minKey() (queuedCore, bool) {
-	if f.size == 0 {
-		return queuedCore{}, false
+// minKey returns the smallest run-queue key currently buffered, or noCore
+// when the inbox is empty.
+func (f *shardFIFO) minKey() uint64 {
+	k := noCore
+	for i := 0; i < f.size; i++ {
+		k = min(k, f.buf[(f.head+i)%len(f.buf)])
 	}
-	min := f.buf[f.head]
-	for i := 1; i < f.size; i++ {
-		if k := f.buf[(f.head+i)%len(f.buf)]; k.less(min) {
-			min = k
-		}
-	}
-	return min, true
+	return k
 }
 
 // shardRuntime is the shared state of one sharded run. It exists only for
@@ -198,21 +194,16 @@ func (sh *shardRuntime) fail(err error) {
 // it again on a generation change (see runWorker).
 func (sh *shardRuntime) advanceLocked() {
 	sh.parked = 0
-	min := horizonSentinel
+	k := noCore
 	for i, w := range sh.workers {
-		if len(w.runQ.q) > 0 && w.runQ.q[0].less(min) {
-			min = w.runQ.q[0]
-		}
-		if k, ok := sh.inbox[i].minKey(); ok && k.less(min) {
-			min = k
-		}
+		k = min(k, w.runQ.topKey(), sh.inbox[i].minKey())
 	}
-	if min == horizonSentinel {
+	if k == noCore {
 		sh.finished = true
 		sh.cond.Broadcast()
 		return
 	}
-	sh.epochEnd = min.now + sh.epochLen
+	sh.epochEnd = mem.Cycle(k>>queueIDBits) + sh.epochLen
 	sh.gen++
 	sh.cond.Broadcast()
 }
@@ -235,7 +226,7 @@ func (sh *shardRuntime) runWorker(w *Simulator) {
 			sh.mu.Unlock()
 			return
 		}
-		if len(w.runQ.q) > 0 && w.runQ.q[0].now < sh.epochEnd {
+		if !w.runQ.empty() && w.runQ.topTime() < sh.epochEnd {
 			end := sh.epochEnd
 			sh.mu.Unlock()
 			err := w.runEpoch(end)
@@ -273,11 +264,11 @@ func (sh *shardRuntime) runWorker(w *Simulator) {
 func (w *Simulator) drainInbox() {
 	box := &w.sh.inbox[w.shardIdx]
 	for {
-		qc, ok := box.pop()
+		k, ok := box.pop()
 		if !ok {
 			return
 		}
-		w.runQ.push(qc.now, qc.id)
+		w.runQ.set(int32(k&queueIDMask), k)
 	}
 }
 
@@ -294,8 +285,8 @@ func (w *Simulator) inboxEmpty() bool { return w.sh.inbox[w.shardIdx].size == 0 
 // engine.
 func (w *Simulator) runEpoch(end mem.Cycle) error {
 	sh := w.sh
-	for len(w.runQ.q) > 0 {
-		if w.runQ.q[0].now >= end || sh.aborted.Load() {
+	for !w.runQ.empty() {
+		if w.runQ.topTime() >= end || sh.aborted.Load() {
 			return nil
 		}
 		id := w.runQ.top()
@@ -421,11 +412,11 @@ func (s *Simulator) runSharded(n int) error {
 		sh.inbox[i].init(counts[i])
 		sh.workers[i] = s.cloneForWorker(i)
 	}
-	for _, qc := range s.runQ.q {
-		w := sh.workers[sh.shardOf(int(qc.id))]
-		w.runQ.push(qc.now, qc.id)
+	for !s.runQ.empty() {
+		id := int32(s.runQ.top())
+		sh.workers[sh.shardOf(int(id))].runQ.set(id, s.runQ.topKey())
+		s.runQ.popTop()
 	}
-	s.runQ.q = s.runQ.q[:0]
 
 	var wg sync.WaitGroup
 	for _, w := range sh.workers {
@@ -462,7 +453,8 @@ func (s *Simulator) cloneForWorker(idx int) *Simulator {
 	w.idScratch = nil
 	w.bcastInval, w.bcastEvict = nil, nil
 	w.pendEvict = nil
-	w.runQ = coreQueue{}
+	w.runQ = coreQueue{} // drop the primary's tree storage before sizing
+	w.runQ.reset(s.cfg.Cores)
 	w.mesh = s.mesh.Clone()
 	w.dram = s.dram.Clone()
 	// The protocol is rebuilt bound to the worker so its counter writes hit
@@ -510,7 +502,7 @@ func (s *Simulator) enqueueRunnable(now mem.Cycle, id int32) {
 		s.runQ.push(now, id)
 		return
 	}
-	s.sh.inbox[s.sh.shardOf(int(id))].push(queuedCore{now: now, id: id})
+	s.sh.inbox[s.sh.shardOf(int(id))].push(queueKey(now, id))
 	s.sh.cond.Broadcast()
 }
 

@@ -62,6 +62,10 @@ func TestEngineShardedVsGeneric(t *testing.T) {
 		{"2core-2x1", func(c *Config) {
 			c.Cores, c.MeshWidth, c.MemControllers = 2, 2, 2
 		}},
+		// Not a power of two: the run queue's tree carries padding leaves.
+		{"12core-6x2", func(c *Config) {
+			c.Cores, c.MeshWidth, c.MemControllers = 12, 6, 4
+		}},
 	}
 	programs := []struct {
 		name  string
@@ -194,37 +198,44 @@ func TestEngineShardedParallel(t *testing.T) {
 // TestShardedResetReuse pins that a simulator that ran sharded can be
 // Reset and reused — sequentially or sharded again — without residue from
 // the worker clones (merged counters, drained inboxes, cleared pending
-// evictions).
+// evictions, the run queue handed to and emptied by the workers), on a
+// power-of-two machine and on one whose run-queue tree has padding leaves.
 func TestShardedResetReuse(t *testing.T) {
-	cfg := diffConfig()
-	prog := buildRandomProgram(rand.New(rand.NewSource(29)), cfg.Cores)
+	odd := diffConfig()
+	odd.Cores, odd.MeshWidth, odd.MemControllers = 12, 6, 4
+	for _, cfg := range []Config{diffConfig(), odd} {
+		cfg := cfg
+		t.Run(fmt.Sprintf("%dcores", cfg.Cores), func(t *testing.T) {
+			prog := buildRandomProgram(rand.New(rand.NewSource(29)), cfg.Cores)
 
-	freshSim, freshRes := runProgram(t, cfg, false, prog)
+			freshSim, freshRes := runProgram(t, cfg, false, prog)
 
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.forceSharded = true
-	cfgSharded := cfg
-	cfgSharded.Shards = 1
-	if err := s.Reset(cfgSharded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(sliceStreams(prog)); err != nil {
-		t.Fatal(err)
-	}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.forceSharded = true
+			cfgSharded := cfg
+			cfgSharded.Shards = 1
+			if err := s.Reset(cfgSharded); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(sliceStreams(prog)); err != nil {
+				t.Fatal(err)
+			}
 
-	// Back to the sequential engine: bit-identical to a fresh simulator.
-	s.forceSharded = false
-	if err := s.Reset(cfg); err != nil {
-		t.Fatal(err)
+			// Back to the sequential engine: bit-identical to a fresh simulator.
+			s.forceSharded = false
+			if err := s.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(sliceStreams(prog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareStates(t, "reset after sharded run", s, res, freshSim, freshRes)
+		})
 	}
-	res, err := s.Run(sliceStreams(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareStates(t, "reset after sharded run", s, res, freshSim, freshRes)
 }
 
 // TestConfigLimits is the table-driven boundary test for the packed-width

@@ -421,11 +421,7 @@ func (s *Simulator) Run(streams []trace.Stream) (*Result, error) {
 			s.cores[i].chunks = cs
 		}
 	}
-	if cap(s.runQ.q) >= s.cfg.Cores {
-		s.runQ.q = s.runQ.q[:0]
-	} else {
-		s.runQ.q = make([]queuedCore, 0, s.cfg.Cores)
-	}
+	s.runQ.reset(s.cfg.Cores)
 	for i := range s.cores {
 		s.runQ.push(s.cores[i].now, int32(i))
 	}
@@ -706,99 +702,119 @@ func (s *Simulator) returnIDs(buf []int16) {
 	s.idScratch = append(s.idScratch, buf)
 }
 
-// queuedCore is one run-queue entry: a core and the local time at which it
-// became runnable. A core's clock is final when pushed, so the key is a
-// snapshot, and keys are unique (a core is queued at most once; id breaks
-// time ties), making pop order fully deterministic.
-type queuedCore struct {
+// Run-queue keys pack a core's (local time, id) into one uint64,
+// time<<queueIDBits | id, so a single integer comparison gives exactly the
+// (time, id) order. MaxCores < 1<<queueIDBits keeps every id in the low
+// bits; clocks must stay below maxQueueClock, which queueKey enforces by
+// panicking rather than letting the shift wrap and reorder cores.
+const (
+	queueIDBits   = 15
+	queueIDMask   = 1<<queueIDBits - 1
+	maxQueueClock = mem.Cycle(1) << 48
+
+	// noCore is the key of an unqueued core or a padding leaf; it is above
+	// every packed key, so it never wins a comparison.
+	noCore = ^uint64(0)
+)
+
+func queueKey(now mem.Cycle, id int32) uint64 {
+	if now >= maxQueueClock {
+		panic(queueClockError{now, id})
+	}
+	return uint64(now)<<queueIDBits | uint64(id)
+}
+
+// queueClockError is the panic value of a clock past maxQueueClock.
+type queueClockError struct {
 	now mem.Cycle
 	id  int32
 }
 
-// coreQueue is a binary min-heap of runnable cores ordered by (local time,
-// core id). It replaces container/heap: the interface-based comparator and
-// its pointer chase into the core array was the hottest single symbol of
-// the simulation loop.
+func (e queueClockError) Error() string {
+	return fmt.Sprintf("sim: core %d clock %d reached the run-queue limit %d", e.id, e.now, maxQueueClock)
+}
+
+// coreQueue is the run queue: a winner (tournament) tree over core ids.
+// Leaf P+id holds core id's packed key, or noCore while the core is not
+// queued; every internal node holds the smaller of its children, so t[1]
+// is the earliest runnable core. P is the core count rounded up to a power
+// of two and the padding leaves hold noCore. A core's clock is final when
+// it is queued, so a key is a snapshot; ids are distinct, so keys are
+// unique and pop order is fully deterministic.
+//
+// Every update is one leaf write plus a replay of the fixed log2(P) path
+// to the root with the branch-free min builtin, whatever the key. That is
+// the point: under the lockstep clocks of L1-hit-heavy runs a re-keyed
+// core sinks below every peer still at the old time, which in a binary
+// heap is a full-depth sift of data-dependent branches per re-key.
 type coreQueue struct {
-	q []queuedCore
+	t []uint64 // t[0] unused, t[1] root, leaves at t[P:2P]
+	p int      // P: leaf offset and leaf count
 }
 
-func (k queuedCore) less(o queuedCore) bool {
-	return k.now < o.now || (k.now == o.now && k.id < o.id)
-}
-
-func (q *coreQueue) push(now mem.Cycle, id int32) {
-	q.q = append(q.q, queuedCore{now: now, id: id})
-	i := len(q.q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.q[i].less(q.q[parent]) {
-			break
-		}
-		q.q[i], q.q[parent] = q.q[parent], q.q[i]
-		i = parent
+// reset sizes the tree for n cores and empties it, reusing storage across
+// runs.
+func (q *coreQueue) reset(n int) {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	if cap(q.t) < 2*p {
+		q.t = make([]uint64, 2*p)
+	}
+	q.t = q.t[:2*p]
+	q.p = p
+	for i := range q.t {
+		q.t[i] = noCore
 	}
 }
+
+// set writes core id's leaf and replays its path to the root.
+func (q *coreQueue) set(id int32, k uint64) {
+	t := q.t
+	i := q.p + int(id)
+	t[i] = k
+	for i > 1 {
+		k = min(k, t[i^1])
+		i >>= 1
+		t[i] = k
+	}
+}
+
+// push queues core id, which must not be queued already.
+func (q *coreQueue) push(now mem.Cycle, id int32) { q.set(id, queueKey(now, id)) }
+
+// empty reports whether no core is runnable.
+func (q *coreQueue) empty() bool { return q.t[1] == noCore }
 
 // top returns the earliest core without removing it.
-func (q *coreQueue) top() int { return int(q.q[0].id) }
+func (q *coreQueue) top() int { return int(q.t[1] & queueIDMask) }
 
-// horizonSentinel is the +inf heap key: no core's (time, id) key ever
-// reaches it (clocks stay far below 2^64-1), so a root core compared
-// against it always stays below the horizon.
-var horizonSentinel = queuedCore{now: ^mem.Cycle(0), id: 1<<31 - 1}
+// topKey returns the earliest core's key, or noCore when empty.
+func (q *coreQueue) topKey() uint64 { return q.t[1] }
 
-// horizon returns the smallest key among the non-root entries — the root
-// core's safe horizon. The heap invariant puts the second-smallest key at
-// one of the root's children, so this is two comparisons, not a scan.
-// While the root core's advancing (time, id) key stays strictly below the
-// horizon it remains the global minimum, and the engine may retire its
-// accesses with zero heap operations (see engine.go); keys are unique, so
-// strictly-below is exactly the condition under which the pop/push
-// formulation would pick the same core again.
-func (q *coreQueue) horizon() queuedCore {
-	h := horizonSentinel
-	if len(q.q) > 1 && q.q[1].less(h) {
-		h = q.q[1]
-	}
-	if len(q.q) > 2 && q.q[2].less(h) {
-		h = q.q[2]
+// topTime returns the earliest core's clock; the queue must not be empty.
+func (q *coreQueue) topTime() mem.Cycle { return mem.Cycle(q.t[1] >> queueIDBits) }
+
+// horizon returns the smallest key among the queued cores other than the
+// root core — its safe horizon — or noCore when it is alone. The siblings
+// along the root leaf's path partition every other leaf, so this is one
+// fixed log2(P) walk, not a scan. While the root core's advancing key stays
+// strictly below the horizon it remains the global minimum, and the engine
+// may retire its accesses without touching the queue (see engine.go); keys
+// are unique, so strictly-below is exactly the condition under which the
+// pop/push formulation would pick the same core again.
+func (q *coreQueue) horizon() uint64 {
+	t := q.t
+	h := noCore
+	for i := q.p + q.top(); i > 1; i >>= 1 {
+		h = min(h, t[i^1])
 	}
 	return h
 }
 
 // replaceTop re-keys the root core at its advanced clock.
-func (q *coreQueue) replaceTop(now mem.Cycle, id int32) {
-	q.q[0] = queuedCore{now: now, id: id}
-	q.siftDown()
-}
+func (q *coreQueue) replaceTop(now mem.Cycle, id int32) { q.set(id, queueKey(now, id)) }
 
 // popTop removes the root core.
-func (q *coreQueue) popTop() {
-	last := len(q.q) - 1
-	q.q[0] = q.q[last]
-	q.q = q.q[:last]
-	if last > 0 {
-		q.siftDown()
-	}
-}
-
-func (q *coreQueue) siftDown() {
-	n := len(q.q)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.q[l].less(q.q[smallest]) {
-			smallest = l
-		}
-		if r < n && q.q[r].less(q.q[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.q[i], q.q[smallest] = q.q[smallest], q.q[i]
-		i = smallest
-	}
-}
+func (q *coreQueue) popTop() { q.set(int32(q.top()), noCore) }
