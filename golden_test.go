@@ -139,7 +139,7 @@ func TestGoldenLargeMesh256(t *testing.T) {
 			cfg.Cores = 256
 			cfg.MeshWidth = 16
 			cfg.ProtocolKind = g.protocol
-			runLargeMeshGolden(t, cfg, g.completion, g.accesses, g.activity, g.linkFlits)
+			runMeshGolden(t, cfg, g.completion, g.accesses, g.activity, g.linkFlits)
 		})
 	}
 }
@@ -172,14 +172,25 @@ func TestGoldenLargeMesh1024(t *testing.T) {
 			cfg.Cores = 1024
 			cfg.MeshWidth = 32
 			cfg.ProtocolKind = g.protocol
-			runLargeMeshGolden(t, cfg, g.completion, g.accesses, g.activity, g.linkFlits)
+			runMeshGolden(t, cfg, g.completion, g.accesses, g.activity, g.linkFlits)
 		})
 	}
 }
 
-// runLargeMeshGolden runs streamcluster at scale 0.1, seed 7 under cfg and
+// TestGoldenMesh4x3 pins a 12-core 4x3 machine: the odd mesh height
+// clips the bottom row of R-NUCA instruction clusters to 2x1, so
+// instruction homes on that row interleave over two tiles instead of four.
+func TestGoldenMesh4x3(t *testing.T) {
+	cfg := lacc.DefaultConfig()
+	cfg.Cores = 12
+	cfg.MeshWidth = 4
+	cfg.MemControllers = 4
+	runMeshGolden(t, cfg, 50781, 9392, 2879, 50827)
+}
+
+// runMeshGolden runs streamcluster at scale 0.1, seed 7 under cfg and
 // compares the signature counters against the pinned row.
-func runLargeMeshGolden(t *testing.T, cfg lacc.Config, completion lacc.Cycle, accesses, activity, linkFlits uint64) {
+func runMeshGolden(t *testing.T, cfg lacc.Config, completion lacc.Cycle, accesses, activity, linkFlits uint64) {
 	t.Helper()
 	res, err := lacc.RunWorkload(cfg, "streamcluster", 0.1, 7)
 	if err != nil {
@@ -188,7 +199,7 @@ func runLargeMeshGolden(t *testing.T, cfg lacc.Config, completion lacc.Cycle, ac
 	if res.CompletionCycles != completion || res.DataAccesses != accesses ||
 		res.WordReads+res.WordWrites+res.UpdateWrites != activity ||
 		res.LinkFlits != linkFlits {
-		t.Errorf("large-mesh golden row drifted for %s:\n got: completion=%d accesses=%d activity=%d linkFlits=%d\nwant: completion=%d accesses=%d activity=%d linkFlits=%d",
+		t.Errorf("mesh golden row drifted for %s:\n got: completion=%d accesses=%d activity=%d linkFlits=%d\nwant: completion=%d accesses=%d activity=%d linkFlits=%d",
 			res.Protocol, res.CompletionCycles, res.DataAccesses,
 			res.WordReads+res.WordWrites+res.UpdateWrites, res.LinkFlits,
 			completion, accesses, activity, linkFlits)

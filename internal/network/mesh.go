@@ -7,6 +7,10 @@
 // XY tree (east/west along the source row, then north/south down every
 // column) so that all tiles are reached with a single injection, mirroring
 // the broadcast support ACKwise relies on (Section 3.1).
+//
+// Every XY route is at most two straight segments, so the link state is
+// laid out by direction and line (see Mesh): each segment a message
+// crosses is one contiguous run of link words, walked by one loop.
 package network
 
 import (
@@ -14,18 +18,6 @@ import (
 	"sync/atomic"
 
 	"lacc/internal/mem"
-)
-
-// Direction indexes the four mesh output links of a router.
-type Direction uint8
-
-// Mesh link directions.
-const (
-	East Direction = iota
-	West
-	North
-	South
-	numDirections
 )
 
 // Config describes the mesh geometry and timing.
@@ -37,15 +29,25 @@ type Config struct {
 	HopLatency int
 }
 
-// Mesh is a W×H mesh with per-directed-link next-free times. A Mesh built
-// by New is not safe for concurrent use; the simulator serializes
-// transactions. Clone returns handles that share the link-occupancy state
-// through atomic read-max-write updates, so the sharded engine's workers
-// observe each other's contention (see Clone).
+// Mesh is a W×H mesh with per-directed-link next-free times. The times
+// live in one slice of four W*H blocks, one per direction, indexed so
+// that a message moving in that direction visits consecutive words:
+//
+//	East  y*W + x          West  W*H + y*W + (W-1-x)
+//	South 2*W*H + x*H + y  North 3*W*H + x*H + (H-1-y)
+//
+// where (x, y) is the tile the link leaves. A row or column segment of
+// an XY route is therefore one subslice (xRun, yRun).
+//
+// A Mesh built by New is not safe for concurrent use; the simulator
+// serializes transactions. Clone returns handles that share the link
+// times through atomic read-max-write updates, so the sharded engine's
+// workers observe each other's contention (see Clone).
 type Mesh struct {
 	cfg      Config
-	linkFree []uint64    // [tile*4+dir] next-free cycle per directed link
+	linkFree []uint64    // next-free cycle per directed link, laid out as above
 	rowTime  []mem.Cycle // broadcast scratch: head arrival per column
+	heads    []mem.Cycle // walk scratch: head arrival past each link of a run
 
 	// concurrent switches link updates to atomic compare-and-swap loops.
 	// Set only on clones; a sequential mesh keeps the plain loads/stores.
@@ -67,27 +69,29 @@ func New(cfg Config) *Mesh {
 	if cfg.HopLatency <= 0 {
 		cfg.HopLatency = 2
 	}
-	n := cfg.Width * cfg.Height
-	return &Mesh{
-		cfg:      cfg,
-		linkFree: make([]uint64, n*int(numDirections)),
-		rowTime:  make([]mem.Cycle, cfg.Width),
-	}
+	m := &Mesh{cfg: cfg, linkFree: make([]uint64, 4*cfg.Width*cfg.Height)}
+	m.allocScratch()
+	return m
+}
+
+// allocScratch carves rowTime and heads from one allocation.
+func (m *Mesh) allocScratch() {
+	w := m.cfg.Width
+	buf := make([]mem.Cycle, w+max(w, m.cfg.Height))
+	m.rowTime, m.heads = buf[:w:w], buf[w:]
 }
 
 // Clone returns a handle onto the same mesh for one concurrent worker: the
-// link next-free times are shared (every worker observes every other's
-// contention) while the traffic counters and broadcast scratch are private,
+// link next-free slice is shared (every worker observes every other's
+// contention) while the traffic counters and walk scratch are private,
 // so workers accumulate counters without synchronization and the owner
-// merges them afterwards with AddCounters. The clone performs link updates
-// atomically; the original must stay quiescent while clones are live.
+// merges them afterwards with AddCounters. The clone crosses each route
+// segment with an atomic compare-and-swap per link (walkShared); the
+// original must stay quiescent while clones are live.
 func (m *Mesh) Clone() *Mesh {
-	return &Mesh{
-		cfg:        m.cfg,
-		linkFree:   m.linkFree,
-		rowTime:    make([]mem.Cycle, m.cfg.Width),
-		concurrent: true,
-	}
+	c := &Mesh{cfg: m.cfg, linkFree: m.linkFree, concurrent: true}
+	c.allocScratch()
+	return c
 }
 
 // AddCounters folds a clone's private traffic counters into m.
@@ -139,63 +143,76 @@ func abs(v int) int {
 	return v
 }
 
-// occupy crosses one link, applying link contention: the head waits for the
-// link to free, then occupies it for `flits` cycles. It returns the head's
-// arrival time at the next router.
-func (m *Mesh) occupy(tile int, d Direction, t mem.Cycle, flits int) mem.Cycle {
-	m.LinkFlits += uint64(flits)
-	m.RouterFlits += uint64(flits)
-	return m.traverse(tile, d, t, flits)
+// xRun returns the links of row y crossed, in order, by a head moving
+// from column sx to column dx (empty when sx == dx).
+func (m *Mesh) xRun(y, sx, dx int) []uint64 {
+	row := y * m.cfg.Width
+	if sx <= dx {
+		return m.linkFree[row+sx : row+dx]
+	}
+	west := m.Tiles() + row + m.cfg.Width - 1
+	return m.linkFree[west-sx : west-dx]
 }
 
-// traverse is occupy without the flit accounting; Unicast batches the
-// counter updates (flits x hops) into one pair of adds per message.
-func (m *Mesh) traverse(tile int, d Direction, t mem.Cycle, flits int) mem.Cycle {
-	link := tile*int(numDirections) + int(d)
+// yRun returns the links of column x crossed, in order, by a head moving
+// from row sy to row dy (empty when sy == dy).
+func (m *Mesh) yRun(x, sy, dy int) []uint64 {
+	col := 2*m.Tiles() + x*m.cfg.Height
+	if sy <= dy {
+		return m.linkFree[col+sy : col+dy]
+	}
+	north := m.Tiles() + col + m.cfg.Height - 1
+	return m.linkFree[north-sy : north-dy]
+}
+
+// walk crosses the links of run in order, applying link contention: the
+// head, entering at t, waits for each link to free, holds it for flits
+// cycles and reaches the next router hop cycles later. heads[i] receives
+// the head's arrival past run[i]; walk returns the arrival past the last.
+func walk(run []uint64, heads []mem.Cycle, t, hop, flits mem.Cycle) mem.Cycle {
+	heads = heads[:len(run)]
+	for i, free := range run {
+		t = max(t, mem.Cycle(free))
+		run[i] = uint64(t + flits)
+		t += hop
+		heads[i] = t
+	}
+	return t
+}
+
+// walkShared is walk for clones: each link's wait-then-occupy update is
+// an atomic read-max-write on the shared word, so concurrent workers
+// crossing the same link serialize on it.
+func walkShared(run []uint64, heads []mem.Cycle, t, hop, flits mem.Cycle) mem.Cycle {
+	heads = heads[:len(run)]
+	for i := range run {
+		for {
+			free := atomic.LoadUint64(&run[i])
+			head := max(t, mem.Cycle(free))
+			if atomic.CompareAndSwapUint64(&run[i], free, uint64(head+flits)) {
+				t = head + hop
+				break
+			}
+		}
+		heads[i] = t
+	}
+	return t
+}
+
+// cross crosses one route segment with the kernel this handle uses.
+func (m *Mesh) cross(run []uint64, heads []mem.Cycle, t mem.Cycle, flits int) mem.Cycle {
+	hop, fl := mem.Cycle(m.cfg.HopLatency), mem.Cycle(flits)
 	if m.concurrent {
-		return m.traverseShared(link, t, flits)
+		return walkShared(run, heads, t, hop, fl)
 	}
-	if free := mem.Cycle(m.linkFree[link]); free > t {
-		t = free
-	}
-	m.linkFree[link] = uint64(t + mem.Cycle(flits))
-	return t + mem.Cycle(m.cfg.HopLatency)
+	return walk(run, heads, t, hop, fl)
 }
 
-// traverseShared is the clone-side link crossing: an atomic read-max-write
-// on the shared next-free word. The CAS loop makes the wait-then-occupy
-// update atomic against concurrent workers crossing the same link.
-func (m *Mesh) traverseShared(link int, t mem.Cycle, flits int) mem.Cycle {
-	p := &m.linkFree[link]
-	for {
-		cur := atomic.LoadUint64(p)
-		head := t
-		if free := mem.Cycle(cur); free > head {
-			head = free
-		}
-		if atomic.CompareAndSwapUint64(p, cur, uint64(head+mem.Cycle(flits))) {
-			return head + mem.Cycle(m.cfg.HopLatency)
-		}
-	}
-}
-
-// step advances the message head across one link (occupy plus the XY walk);
-// broadcast uses it, while the unicast hot path tracks coordinates
-// incrementally to avoid recomputing them per hop.
-func (m *Mesh) step(tile int, d Direction, t mem.Cycle, flits int) (next int, out mem.Cycle) {
-	t = m.occupy(tile, d, t, flits)
-	x, y := m.XY(tile)
-	switch d {
-	case East:
-		x++
-	case West:
-		x--
-	case North:
-		y--
-	case South:
-		y++
-	}
-	return m.TileAt(x, y), t
+// count adds a message crossing `links` links to the traffic counters.
+func (m *Mesh) count(links, flits int) {
+	m.Messages++
+	m.LinkFlits += uint64(links * flits)
+	m.RouterFlits += uint64(links * flits)
 }
 
 // Unicast routes a message of `flits` flits from src to dst using XY
@@ -209,36 +226,19 @@ func (m *Mesh) Unicast(src, dst int, flits int, depart mem.Cycle) mem.Cycle {
 	if src == dst {
 		return depart
 	}
-	m.Messages++
-	t := depart
-	cur := src
 	sx, sy := m.XY(src)
 	dx, dy := m.XY(dst)
-	hopFlits := uint64((abs(sx-dx) + abs(sy-dy)) * flits)
-	m.LinkFlits += hopFlits
-	m.RouterFlits += hopFlits
-	for sx < dx { // X first
-		t = m.traverse(cur, East, t, flits)
-		sx++
-		cur++
-	}
-	for sx > dx {
-		t = m.traverse(cur, West, t, flits)
-		sx--
-		cur--
-	}
-	for sy < dy { // then Y
-		t = m.traverse(cur, South, t, flits)
-		sy++
-		cur += m.cfg.Width
-	}
-	for sy > dy {
-		t = m.traverse(cur, North, t, flits)
-		sy--
-		cur -= m.cfg.Width
+	xr, yr := m.xRun(sy, sx, dx), m.yRun(dx, sy, dy) // X first, then Y
+	m.count(len(xr)+len(yr), flits)
+	hop, fl := mem.Cycle(m.cfg.HopLatency), mem.Cycle(flits)
+	var t mem.Cycle
+	if m.concurrent {
+		t = walkShared(yr, m.heads, walkShared(xr, m.heads, depart, hop, fl), hop, fl)
+	} else {
+		t = walk(yr, m.heads, walk(xr, m.heads, depart, hop, fl), hop, fl)
 	}
 	// Tail flit arrives flits-1 cycles after the head.
-	return t + mem.Cycle(flits-1)
+	return t + fl - 1
 }
 
 // Broadcast injects a message of `flits` flits at src and replicates it
@@ -256,45 +256,39 @@ func (m *Mesh) BroadcastInto(dst []mem.Cycle, src int, flits int, depart mem.Cyc
 	if flits <= 0 {
 		panic("network: message needs at least one flit")
 	}
-	m.Messages++
+	w, h := m.cfg.Width, m.cfg.Height
+	m.count(m.Tiles()-1, flits) // the tree spans every tile
 	var arrive []mem.Cycle
 	if cap(dst) >= m.Tiles() {
 		arrive = dst[:m.Tiles()]
 	} else {
 		arrive = make([]mem.Cycle, m.Tiles())
 	}
-	arrive[src] = depart
+	sx, sy := m.XY(src)
+	tail := mem.Cycle(flits - 1)
 
-	sx, _ := m.XY(src)
-	// Phase 1: spread along the source row.
-	rowTime := m.rowTime // head arrival per column; fully overwritten below
+	// Phase 1: spread along the source row, recording the head arrival at
+	// every column; the westward walk yields columns sx-1 down to 0.
+	rowTime := m.rowTime
 	rowTime[sx] = depart
-	cur, t := src, depart
-	for x := sx; x < m.cfg.Width-1; x++ { // eastward
-		cur, t = m.step(cur, East, t, flits)
-		cx, _ := m.XY(cur)
-		rowTime[cx] = t
-	}
-	cur, t = src, depart
-	for x := sx; x > 0; x-- { // westward
-		cur, t = m.step(cur, West, t, flits)
-		cx, _ := m.XY(cur)
-		rowTime[cx] = t
+	m.cross(m.xRun(sy, sx, w-1), rowTime[sx+1:], depart, flits)
+	west := m.heads[:sx]
+	m.cross(m.xRun(sy, sx, 0), west, depart, flits)
+	for i, t := range west {
+		rowTime[sx-1-i] = t
 	}
 	// Phase 2: from every tile of the source row, spread down each column.
-	_, sy := m.XY(src)
-	for x := 0; x < m.cfg.Width; x++ {
-		base := m.TileAt(x, sy)
-		arrive[base] = rowTime[x] + mem.Cycle(flits-1)
-		cur, t = base, rowTime[x]
-		for y := sy; y < m.cfg.Height-1; y++ { // southward
-			cur, t = m.step(cur, South, t, flits)
-			arrive[cur] = t + mem.Cycle(flits-1)
+	for x, t := range rowTime {
+		arrive[sy*w+x] = t + tail
+		south := m.heads[:h-1-sy]
+		m.cross(m.yRun(x, sy, h-1), south, t, flits)
+		for i, at := range south {
+			arrive[(sy+1+i)*w+x] = at + tail
 		}
-		cur, t = base, rowTime[x]
-		for y := sy; y > 0; y-- { // northward
-			cur, t = m.step(cur, North, t, flits)
-			arrive[cur] = t + mem.Cycle(flits-1)
+		north := m.heads[:sy]
+		m.cross(m.yRun(x, sy, 0), north, t, flits)
+		for i, at := range north {
+			arrive[(sy-1-i)*w+x] = at + tail
 		}
 	}
 	arrive[src] = depart

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +224,47 @@ func TestBroadcastTreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkMesh times seeded XY traffic as the repository benchmark's
+// network probes draw it: uniform endpoints, unicasts half 1-flit and half
+// 9-flit (a line), 1-flit broadcasts, departures 3 cycles apart. ns/op is
+// per message.
+func BenchmarkMesh(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		width     int
+		broadcast bool
+	}{
+		{"unicast/8x8", 8, false},
+		{"unicast/16x16", 16, false},
+		{"broadcast/8x8", 8, true},
+		{"broadcast/16x16", 16, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := New(Config{Width: c.width, Height: c.width, HopLatency: 2})
+			tiles := m.Tiles()
+			rng := rand.New(rand.NewPCG(1, uint64(c.width)))
+			const n = 4096
+			var src, dst, flits [n]int
+			for i := range src {
+				src[i], dst[i], flits[i] = rng.IntN(tiles), rng.IntN(tiles), 1
+				if rng.IntN(2) == 0 {
+					flits[i] = 9
+				}
+			}
+			buf := make([]mem.Cycle, tiles)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % n
+				if c.broadcast {
+					m.BroadcastInto(buf, src[k], 1, mem.Cycle(3*i))
+				} else {
+					m.Unicast(src[k], dst[k], flits[k], mem.Cycle(3*i))
+				}
+			}
+		})
 	}
 }

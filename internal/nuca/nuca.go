@@ -40,6 +40,7 @@ type Reclassification struct {
 type Placement struct {
 	tiles    int
 	meshW    int
+	meshH    int
 	clusterW int
 	clusterH int
 	// pages maps pageKey → pageInfo. The DataHome lookup sits on every L1
@@ -84,7 +85,7 @@ func New(tiles, meshW int) *Placement {
 		ch = 1
 	}
 	return &Placement{
-		tiles: tiles, meshW: meshW,
+		tiles: tiles, meshW: meshW, meshH: tiles / meshW,
 		clusterW: cw, clusterH: ch,
 		pages: flatmap.New[pageInfo](1024),
 	}
@@ -172,15 +173,16 @@ func (p *Placement) ClassOf(a mem.Addr) (PageClass, bool) {
 
 // InstrHome returns the replica slice for an instruction line fetched by
 // `requester`: the line is rotationally interleaved among the 4 tiles of
-// the requester's cluster, so each cluster keeps its own replica.
+// the requester's cluster, so each cluster keeps its own replica. On a
+// mesh with an odd width or height the last cluster column or row is
+// clipped to the mesh edge (2x1, 1x2 or 1x1 tiles).
 func (p *Placement) InstrHome(a mem.Addr, requester int) int {
 	x := requester % p.meshW
 	y := requester / p.meshW
 	baseX := (x / p.clusterW) * p.clusterW
 	baseY := (y / p.clusterH) * p.clusterH
-	n := p.clusterW * p.clusterH
-	idx := int(mix64(mem.LineIndex(a)) % uint64(n))
-	dx := idx % p.clusterW
-	dy := idx / p.clusterW
-	return (baseY+dy)*p.meshW + baseX + dx
+	w := min(p.clusterW, p.meshW-baseX)
+	h := min(p.clusterH, p.meshH-baseY)
+	idx := int(mix64(mem.LineIndex(a)) % uint64(w*h))
+	return (baseY+idx/w)*p.meshW + baseX + idx%w
 }

@@ -119,6 +119,36 @@ func TestInstrHomeStaysInCluster(t *testing.T) {
 	}
 }
 
+// On meshes with an odd width or height the edge clusters are clipped to
+// the mesh: every instruction home is a tile of the mesh, inside the
+// requester's clipped 2x2 cluster, and the interleaving uses every tile
+// of that cluster.
+func TestInstrHomeOddMesh(t *testing.T) {
+	for _, g := range []struct{ w, h int }{{3, 2}, {4, 3}, {5, 5}, {1, 3}} {
+		p := New(g.w*g.h, g.w)
+		for r := 0; r < g.w*g.h; r++ {
+			x0, y0 := r%g.w/2*2, r/g.w/2*2
+			cluster := map[int]bool{}
+			for y := y0; y < min(y0+2, g.h); y++ {
+				for x := x0; x < min(x0+2, g.w); x++ {
+					cluster[y*g.w+x] = true
+				}
+			}
+			seen := map[int]bool{}
+			for i := 0; i < 64; i++ {
+				h := p.InstrHome(mem.Addr(i*64), r)
+				if !cluster[h] {
+					t.Fatalf("%dx%d requester %d: instr home %d outside clipped cluster %v", g.w, g.h, r, h, cluster)
+				}
+				seen[h] = true
+			}
+			if len(seen) != len(cluster) {
+				t.Errorf("%dx%d requester %d: homes %v do not cover cluster %v", g.w, g.h, r, seen, cluster)
+			}
+		}
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	for _, c := range []struct{ tiles, w int }{{0, 8}, {64, 0}, {63, 8}} {
 		func() {

@@ -505,6 +505,11 @@ func TestEngineBatchedVsGeneric(t *testing.T) {
 		{"12core-6x2", func(c *Config) {
 			c.Cores, c.MeshWidth, c.MemControllers = 12, 6, 4
 		}},
+		// Odd mesh height: the bottom row's R-NUCA instruction clusters
+		// are clipped to the mesh edge.
+		{"12core-4x3", func(c *Config) {
+			c.Cores, c.MeshWidth, c.MemControllers = 12, 4, 4
+		}},
 	}
 	programs := []struct {
 		name  string
