@@ -17,8 +17,9 @@ import (
 
 // Line is one cache line's tag-array entry. Fields are ordered
 // widest-first so the struct packs into 48 bytes (56 with the original
-// ordering); the tag arrays are the bulk of a simulator's memory, so
-// padding here is multiplied by every way of every cache of every tile.
+// ordering; TestLineSize pins it); the tag arrays are the bulk of a
+// simulator's memory, so padding here is multiplied by every way of every
+// cache of every tile.
 type Line struct {
 	// Addr is the line-aligned address held by this way.
 	Addr mem.Addr
@@ -34,6 +35,12 @@ type Line struct {
 	// Util is the private utilization counter of Figure 5: the number of
 	// accesses since the line was brought into this cache.
 	Util uint32
+	// Dir links a home L2 line to its directory entry: the entry's slot in
+	// the tile's directory pool plus one, 0 for none (instruction lines,
+	// replicas, private caches). It occupies what was padding, so Line
+	// stays 48 bytes. Insert and Invalidate zero it with the rest of the
+	// record; the directory owns setting it.
+	Dir int32
 	// Home caches the tile the line's directory lives on, so evictions know
 	// where to send the notification without re-running placement.
 	Home  int16

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"lacc/internal/mem"
 )
@@ -164,5 +165,14 @@ func TestForEachAndCountValid(t *testing.T) {
 	})
 	if len(seen) != len(addrs) {
 		t.Fatalf("ForEach visited %d lines", len(seen))
+	}
+}
+
+// TestLineSize pins the packed Line layout: the tag arrays are the bulk of
+// a simulator's memory, so a field that spills past the padding costs
+// every way of every cache of every tile.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 48 {
+		t.Fatalf("cache.Line is %d bytes, want 48", got)
 	}
 }

@@ -92,7 +92,7 @@ func NewSharerSetBacked(p int, backing []int16) SharerSet {
 }
 
 // Rebind moves the identity list into backing (cap(backing) must be at
-// least p), preserving contents. The flat directory uses it when a table
+// least p), preserving contents. The flat directory uses it when a pool
 // grow relocates an entry to a new arena slot.
 func (s *SharerSet) Rebind(backing []int16) {
 	if cap(backing) < int(s.p) {

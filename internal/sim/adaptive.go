@@ -555,8 +555,7 @@ func (s *adaptiveProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	}
 	s.mesh.Unicast(c.id, home, flits, t)
 
-	ht := &s.tiles[home]
-	entry := ht.dir.probe(la)
+	l2line, entry := s.homeEntry(home, la)
 	if entry == nil {
 		if s.relaxed() {
 			// The home entry was torn down (L2 eviction or page move) after
@@ -565,13 +564,6 @@ func (s *adaptiveProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 			return
 		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
-	}
-	l2line := ht.l2.Probe(la)
-	if l2line == nil {
-		if s.relaxed() {
-			return
-		}
-		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
 		l2line.Version = victim.Version
@@ -608,8 +600,7 @@ func (s *adaptiveProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 		s.notifyReplicaEviction(home, victim, t)
 		return
 	}
-	ht := &s.tiles[home]
-	entry := ht.dir.probe(la)
+	entry := s.tiles[home].dir.entry(&victim)
 	if entry == nil {
 		return // read-only instruction replica
 	}
@@ -675,7 +666,7 @@ func (s *adaptiveProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 		s.dramVerSet(la, version)
 		s.meter.L2LineReads++
 	}
-	s.removeDirEntry(home, la, entry)
+	s.removeDirEntry(home, &victim, entry)
 }
 
 // PageMove implements the R-NUCA private→shared reclassification: the
@@ -695,10 +686,9 @@ func (s *adaptiveProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 		if l2line == nil {
 			continue
 		}
-		entry := ht.dir.probe(la)
-		if entry != nil {
+		if entry := ht.dir.entry(l2line); entry != nil {
 			s.invalidateSharers(oldHome, la, entry, l2line, -1, t)
-			s.removeDirEntry(oldHome, la, entry)
+			s.removeDirEntry(oldHome, l2line, entry)
 		}
 		old, _ := ht.l2.Invalidate(la)
 		ctrl := s.dram.ControllerOf(la)

@@ -13,8 +13,10 @@ import (
 // every simulation when CheckValues is enabled, complementing the golden
 // store's data checks with directory/cache cross-validation:
 //
-//   - every directory entry's home L2 slice still holds the line
-//     (the directory is integrated with the L2 tags),
+//   - the directory is integrated with the L2 tags: in the fast core every
+//     entry handed out is linked (cache.Line.Dir) from exactly one resident
+//     home L2 line and no line links a free slot (auditLinks); in the
+//     reference core every entry's home L2 slice still holds the line,
 //   - an Uncached entry has no private copies anywhere,
 //   - a Shared entry's exact sharer count equals the number of tiles
 //     holding the line (L1 copy or, under victim replication, a replica),
@@ -35,9 +37,11 @@ import (
 func (s *Simulator) Audit() error {
 	// Directory-side checks.
 	for home := range s.tiles {
-		ht := &s.tiles[home]
+		if err := s.auditLinks(home); err != nil {
+			return err
+		}
 		var fail error
-		ht.dir.forEach(func(la mem.Addr, entry *dirEntry) {
+		s.tiles[home].forEachEntry(func(la mem.Addr, entry *dirEntry) {
 			if fail != nil {
 				return
 			}
@@ -67,6 +71,68 @@ func (s *Simulator) Audit() error {
 	return nil
 }
 
+// Slot claims recorded by auditLinks.
+const (
+	slotUnclaimed uint8 = iota
+	slotFree
+	slotLinked
+)
+
+// auditLinks checks the fast core's directory pool at tile home against the
+// L2 lines that link into it: each slot handed out since the last clear is
+// either on the free list once or linked from exactly one resident home
+// data line, and no line links a free slot or one never handed out. The
+// reference core keys its map by address and has no links to check.
+func (s *Simulator) auditLinks(home int) error {
+	ht := &s.tiles[home]
+	d := &ht.dir
+	if d.ref != nil {
+		return nil
+	}
+	if cap(s.auditSlots) < d.used {
+		s.auditSlots = make([]uint8, d.used)
+	}
+	claims := s.auditSlots[:d.used]
+	clear(claims)
+	for _, i := range d.free {
+		if i < 0 || int(i) >= d.used {
+			return fmt.Errorf("sim: audit: tile %d free list holds slot %d, outside the %d handed out", home, i, d.used)
+		}
+		if claims[i] != slotUnclaimed {
+			return fmt.Errorf("sim: audit: tile %d frees slot %d twice", home, i)
+		}
+		claims[i] = slotFree
+	}
+	var fail error
+	ht.l2.ForEach(func(l *cache.Line) {
+		if fail != nil || l.Dir == 0 {
+			return
+		}
+		i := int(l.Dir) - 1
+		switch {
+		case l.State == lineReplica || l.Addr >= codeBase:
+			fail = fmt.Errorf("sim: audit: L2 line %#x at tile %d is no home data line but links slot %d", l.Addr, home, i)
+		case i < 0 || i >= d.used:
+			fail = fmt.Errorf("sim: audit: L2 line %#x at tile %d links slot %d, outside the %d handed out", l.Addr, home, i, d.used)
+		case claims[i] == slotFree:
+			fail = fmt.Errorf("sim: audit: L2 line %#x at tile %d links free slot %d", l.Addr, home, i)
+		case claims[i] == slotLinked:
+			fail = fmt.Errorf("sim: audit: L2 line %#x at tile %d links slot %d, already linked from another line", l.Addr, home, i)
+		default:
+			claims[i] = slotLinked
+		}
+	})
+	if fail != nil {
+		return fail
+	}
+	for i, c := range claims {
+		if c == slotUnclaimed {
+			return fmt.Errorf("sim: audit: directory slot %d at tile %d is live but no L2 line links it", i, home)
+		}
+	}
+	return nil
+}
+
 // auditDirlessL2 enforces the data-value invariant on home L2 lines that
 // have no directory entry (the DLS single point of coherence).
 func (s *Simulator) auditDirlessL2(home int) error {
@@ -76,7 +142,7 @@ func (s *Simulator) auditDirlessL2(home int) error {
 		if fail != nil || l.Addr >= codeBase || l.State == lineReplica {
 			return
 		}
-		if ht.dir.probe(l.Addr) != nil {
+		if ht.dir.entry(l) != nil {
 			return
 		}
 		if want := s.golden.get(l.Addr); l.Version != want {
@@ -141,7 +207,7 @@ func (s *Simulator) auditL1(id int) error {
 		if fail != nil {
 			return
 		}
-		entry := s.tiles[l.Home].dir.probe(l.Addr)
+		_, entry := s.homeEntry(int(l.Home), l.Addr)
 		if entry == nil {
 			fail = fmt.Errorf("sim: audit: L1 line %#x at core %d has no directory entry at home %d",
 				l.Addr, id, l.Home)

@@ -242,8 +242,7 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 	}
 	d.mesh.Unicast(c.id, home, flits, t)
 
-	ht := &d.tiles[home]
-	entry := ht.dir.probe(la)
+	l2line, entry := d.homeEntry(home, la)
 	if entry == nil {
 		if d.relaxed() {
 			// Torn down by a concurrent L2 eviction or page move; the
@@ -251,13 +250,6 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 			return
 		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
-	}
-	l2line := ht.l2.Probe(la)
-	if l2line == nil {
-		if d.relaxed() {
-			return
-		}
-		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
 		l2line.Version = victim.Version
@@ -285,8 +277,7 @@ func (d *fullMapDirectory) L1Evict(c *coreState, victim cache.Line, t mem.Cycle)
 // DRAM. Instruction lines have no directory entry and are dropped.
 func (d *fullMapDirectory) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 	la := victim.Addr
-	ht := &d.tiles[home]
-	entry := ht.dir.probe(la)
+	entry := d.tiles[home].dir.entry(&victim)
 	if entry == nil {
 		return // read-only instruction replica
 	}
@@ -341,7 +332,7 @@ func (d *fullMapDirectory) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 		d.dramVerSet(la, version)
 		d.meter.L2LineReads++
 	}
-	d.removeDirEntry(home, la, entry)
+	d.removeDirEntry(home, &victim, entry)
 }
 
 // PageMove applies the R-NUCA private→shared reclassification: every copy
@@ -360,10 +351,9 @@ func (d *fullMapDirectory) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 		if l2line == nil {
 			continue
 		}
-		entry := ht.dir.probe(la)
-		if entry != nil {
+		if entry := ht.dir.entry(l2line); entry != nil {
 			d.invalidateSharers(oldHome, la, entry, l2line, -1, t)
-			d.removeDirEntry(oldHome, la, entry)
+			d.removeDirEntry(oldHome, l2line, entry)
 		}
 		old, _ := ht.l2.Invalidate(la)
 		ctrl := d.dram.ControllerOf(la)

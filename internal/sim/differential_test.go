@@ -135,7 +135,7 @@ func dirSnapshot(s *Simulator) []dirSnap {
 	var out []dirSnap
 	for i := range s.tiles {
 		tile := i
-		s.tiles[i].dir.forEach(func(la mem.Addr, e *dirEntry) {
+		s.tiles[i].forEachEntry(func(la mem.Addr, e *dirEntry) {
 			out = append(out, dirSnap{
 				Tile:  tile,
 				LA:    la,
@@ -228,6 +228,95 @@ func TestDifferentialFastVsReference(t *testing.T) {
 					t.Errorf("reference core failed audit: %v", err)
 				}
 			})
+		}
+	}
+	t.Run("mesi-fullmap64-pool-growth", testPoolGrowth)
+}
+
+// buildPoolGrowthProgram makes every core of a machine share lines, then
+// stream enough private lines to its own home tile to double that tile's
+// directory pool three times while the shared entries hold long sharer
+// lists, then write and re-read the shared lines, so invalidations walk
+// the sharer lists the growth rebound.
+func buildPoolGrowthProgram(cores int) [][]mem.Access {
+	const (
+		sharedLines  = 128
+		privateLines = 6 * dirPoolInitialSlots // past 64 → 128 → 256 → 512
+	)
+	shared := mem.Addr(1) << 22
+	private := func(c, i int) mem.Addr {
+		return mem.Addr(1)<<24 + mem.Addr(c*8*mem.PageBytes+i*mem.LineBytes)
+	}
+	line := func(i int) mem.Addr { return shared + mem.Addr(i%sharedLines*mem.LineBytes) }
+	progs := make([][]mem.Access, cores)
+	for c := range progs {
+		var p []mem.Access
+		// A per-core rotation varies the order sharers register in.
+		for i := 0; i < sharedLines; i++ {
+			p = append(p, mem.Access{Kind: mem.Read, Addr: line(c*7 + i)})
+		}
+		p = append(p, mem.Access{Kind: mem.Barrier, Addr: 1})
+		for i := 0; i < privateLines; i++ {
+			p = append(p, mem.Access{Kind: mem.Read, Addr: private(c, i)})
+		}
+		p = append(p, mem.Access{Kind: mem.Barrier, Addr: 2})
+		p = append(p, mem.Access{Kind: mem.Write, Addr: line(c * 3)})
+		for i := 0; i < sharedLines; i += 5 {
+			p = append(p, mem.Access{Kind: mem.Read, Addr: line(c + i)})
+		}
+		progs[c] = append(p, mem.Access{Kind: mem.Barrier, Addr: 3})
+	}
+	return progs
+}
+
+// testPoolGrowth runs a 64-core full-map machine whose directory pools
+// grow several times under live multi-sharer entries. Matching the
+// reference core bit for bit proves the growth's Rebind kept every sharer
+// identity list in order; the rerun after Reset must match again while
+// every tile keeps its grown records.
+func testPoolGrowth(t *testing.T) {
+	t.Parallel()
+	cfg := Default()
+	cfg.Cores, cfg.MeshWidth = 64, 8
+	cfg.ProtocolKind = ProtocolMESI
+	cfg.L1DSizeKB, cfg.L1DWays = 64, 4
+	cfg.L2SizeKB, cfg.L2Ways = 128, 8
+	cfg.TrackUtilization = true
+	prog := buildPoolGrowthProgram(cfg.Cores)
+
+	fastSim, fastRes := runProgram(t, cfg, false, prog)
+	refSim, refRes := runProgram(t, cfg, true, prog)
+	compareStates(t, "pool growth", fastSim, fastRes, refSim, refRes)
+
+	grown := make([]*dirEntry, len(fastSim.tiles))
+	multi := 0
+	for i := range fastSim.tiles {
+		d := &fastSim.tiles[i].dir
+		if len(d.entries) < 8*dirPoolInitialSlots {
+			t.Fatalf("tile %d pool holds %d slots, want three doublings from %d", i, len(d.entries), dirPoolInitialSlots)
+		}
+		grown[i] = &d.entries[0]
+		fastSim.tiles[i].forEachEntry(func(_ mem.Addr, e *dirEntry) {
+			if len(e.sharers.Identified()) > 1 {
+				multi++
+			}
+		})
+	}
+	if multi == 0 {
+		t.Fatal("no multi-sharer entry survived to the end; the program no longer exercises Rebind")
+	}
+
+	if err := fastSim.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fastSim.Run(sliceStreams(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareStates(t, "pool growth after Reset", fastSim, res, refSim, refRes)
+	for i := range fastSim.tiles {
+		if &fastSim.tiles[i].dir.entries[0] != grown[i] {
+			t.Fatalf("tile %d reallocated its directory pool after Reset", i)
 		}
 	}
 }

@@ -9,321 +9,213 @@ package sim
 // classifier per directory entry. Each data access therefore paid several
 // hash-map walks and each new resident line several heap allocations.
 //
-// This file replaces them with open-addressed tables (linear probing,
-// power-of-two capacity, fibonacci hashing of mem.LineKey) whose values
-// live inline in the slot array, and with a per-table identity arena that
-// backs every directory slot's sharer set. The directory table is
-// specialized here (it needs tombstones and the arena); the plain
-// key-value stores share internal/flatmap. The map-based layout survives
-// unchanged behind the same accessors as the reference core (newReference),
-// which the differential tests replay against the flat core to prove
-// bit-identical behavior.
+// This file replaces them. The directory is a per-tile pool of dense
+// entry records and a sharer-identity arena, linked from the home L2 lines
+// (cache.Line.Dir), so a lookup is a field read on the L2 line the access
+// already probes. The plain key-value stores are open-addressed
+// internal/flatmap tables (linear probing, power-of-two capacity,
+// fibonacci hashing of mem.LineKey) whose values live inline in the slot
+// array. The map-based layout survives unchanged behind the same accessors
+// as the reference core (newReference), which the differential tests
+// replay against the flat core to prove bit-identical behavior.
 
 import (
 	"fmt"
-	"math/bits"
 
+	"lacc/internal/cache"
 	"lacc/internal/coherence"
 	"lacc/internal/flatmap"
 	"lacc/internal/mem"
 )
 
-// hashKey maps a line key to a table index via fibonacci (multiplicative)
-// hashing: line keys are near-sequential, and taking the high bits of the
-// product spreads consecutive keys across the table.
-func hashKey(key uint64, shift uint) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> shift
-}
-
-// Directory key sentinels. A slot's key word is authoritative for its
-// state: 0 is a free slot, all-ones a tombstone (removal leaves one so
-// probe chains stay intact; tombstones are reclaimed by the next grow) and
-// anything else the mem.LineKey of the resident line. Neither sentinel
-// collides with a real key: LineKey is index+1 (never 0) of a 48-bit
-// address (never 2^64-1).
-const (
-	dirKeyEmpty = uint64(0)
-	dirKeyDead  = ^uint64(0)
-)
-
-// dirTable is the flat per-tile directory: an open-addressed table whose
-// keys and entries live in parallel arrays — probe chains scan the packed
-// 8-byte key array (several slots per hardware cache line) and touch an
-// 80-byte dirEntry record only on the final hit, mirroring the cache
-// package's packed tag arrays. Each slot owns a fixed p-pointer segment of
-// the table's identity arena, handed to the slot's sharer set at insert,
-// so a directory entry's whole footprint — entry, sharer identities — is
-// flat arrays with no per-entry allocation. Because the key array is
-// authoritative, wholesale clearing only wipes keys: entry records behind
-// free slots are unreachable and re-initialized on insertion.
+// dirPool is the fast core's per-tile directory storage. The paper's
+// directory is integrated with the shared L2: an entry exists exactly
+// while its home L2 line is resident. So the pool keeps only dense entry
+// records and their sharer-identity arena (a fixed p-pointer segment per
+// slot, handed to the slot's sharer set at allocation), and the home L2
+// line names its entry through cache.Line.Dir (slot+1). There are no keys:
+// every lookup starts from the L2 line the access has already probed.
 //
-// Pointer stability: pointers returned by probe/insert remain valid until
-// the next insert (which may grow and relocate the table); remove only
-// tombstones a slot and never relocates entries. The protocol layer
-// performs at most one insert per transaction (in lookupEntry), before any
-// entry pointer is retained.
-type dirTable struct {
-	keys    []uint64   // dirKeyEmpty, dirKeyDead, or mem.LineKey
-	entries []dirEntry // parallel to keys
-	arena   []int16    // len(keys) * p sharer identities
+// Slots come from a LIFO free list, else from the bump pointer used. When
+// both are exhausted the pool doubles, copying the records and rebinding
+// each sharer set into the new arena, up to limit — the home L2's line
+// count, which bounds the live entries. Clearing is O(1): the L2's Reset
+// drops every link, and a record is rewritten whole when its slot is
+// handed out again.
+//
+// Pointer stability: entry pointers stay valid until the next alloc, which
+// may grow and relocate the records; release never relocates. The
+// protocol layer allocates at most once per transaction (in lookupEntry),
+// before any entry pointer is retained.
+type dirPool struct {
+	entries []dirEntry // len is the capacity
+	arena   []int16    // len(entries) * p sharer identities
+	free    []int32    // released slots, reused last-in first-out
+	used    int        // slots handed out since the last clear
 	p       int        // sharer pointers per entry
-	mask    uint64
-	shift   uint
-	live    int
-	dead    int
-	// epoch counts array reallocations (grow, reshape). Probe hints held
-	// outside the table (coreState.dirHint*) carry the epoch they were
-	// taken under and die when it moves on, so they can never index into
-	// an abandoned array.
-	epoch uint32
+	limit   int        // the home L2's line count
 }
 
-// dirTableInitialSlots matches the old map's size hint.
-const dirTableInitialSlots = 1024
+// dirPoolInitialSlots is the first capacity; a tile doubles from here to
+// the lines its workload actually keeps resident.
+const dirPoolInitialSlots = 64
 
-func newDirTable(p int) *dirTable {
-	d := &dirTable{p: p}
-	d.alloc(dirTableInitialSlots)
-	return d
-}
-
-func (d *dirTable) alloc(capacity int) {
-	d.keys = make([]uint64, capacity)
-	d.entries = make([]dirEntry, capacity)
-	d.arena = make([]int16, capacity*d.p)
-	d.mask = uint64(capacity - 1)
-	d.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
-	d.live, d.dead = 0, 0
-	d.epoch++
+func newDirPool(p, limit int) dirPool {
+	n := min(dirPoolInitialSlots, limit)
+	return dirPool{entries: make([]dirEntry, n), arena: make([]int16, n*p), p: p, limit: limit}
 }
 
 // backing returns slot i's segment of the identity arena, zero-length with
 // capacity p.
-func (d *dirTable) backing(i uint64) []int16 {
-	base := int(i) * d.p
+func (d *dirPool) backing(i int) []int16 {
+	base := i * d.p
 	return d.arena[base : base : base+d.p]
 }
 
-func (d *dirTable) probe(la mem.Addr) *dirEntry {
-	if i := d.probeIdx(la); i >= 0 {
-		return &d.entries[i]
+// alloc links a fresh entry to the home L2 line l and returns it, zeroed
+// except for the arena-backed sharer set.
+func (d *dirPool) alloc(l *cache.Line) *dirEntry {
+	var i int
+	if n := len(d.free); n > 0 {
+		i = int(d.free[n-1])
+		d.free = d.free[:n-1]
+	} else {
+		if d.used == len(d.entries) {
+			d.grow()
+		}
+		i = d.used
+		d.used++
 	}
-	return nil
+	d.entries[i] = dirEntry{sharers: coherence.NewSharerSetBacked(d.p, d.backing(i))}
+	l.Dir = int32(i + 1)
+	return &d.entries[i]
 }
 
-// probeIdx returns la's live slot index, or -1. Exposed (package-
-// internally) so lookupEntry can keep an epoch-guarded index hint per
-// core. Tombstoned keys match nothing and keep the chain walking.
-func (d *dirTable) probeIdx(la mem.Addr) int {
-	key := mem.LineKey(la)
-	i := hashKey(key, d.shift)
-	for {
-		switch d.keys[i] {
-		case key:
-			return int(i)
-		case dirKeyEmpty:
-			return -1
-		}
-		i = (i + 1) & d.mask
-	}
+// release frees the slot a line's Dir link names.
+func (d *dirPool) release(dir int32) {
+	d.entries[dir-1] = dirEntry{}
+	d.free = append(d.free, dir-1)
 }
 
-// insert claims a slot for la and returns its entry, zeroed except for the
-// arena-backed sharer set. The line must not be present.
-func (d *dirTable) insert(la mem.Addr) *dirEntry {
-	if (d.live+d.dead+1)*4 > len(d.keys)*3 {
-		d.grow()
+// grow doubles the pool. It runs only with the free list empty, so every
+// slot below used is live and is rebound into the new arena in place.
+func (d *dirPool) grow() {
+	n := min(2*len(d.entries), d.limit)
+	if n == len(d.entries) {
+		panic(fmt.Sprintf("sim: directory pool full at %d entries, the home L2's line count", n))
 	}
-	key := mem.LineKey(la)
-	i := hashKey(key, d.shift)
-	target := -1 // first tombstone on the probe path, reusable
-	for {
-		switch d.keys[i] {
-		case key:
-			panic(fmt.Sprintf("sim: directory insert of resident line %#x", la))
-		case dirKeyEmpty:
-			if target < 0 {
-				target = int(i)
-			}
-		case dirKeyDead:
-			if target < 0 {
-				target = int(i)
-			}
-			i = (i + 1) & d.mask
-			continue
-		default:
-			i = (i + 1) & d.mask
-			continue
-		}
-		break
-	}
-	if d.keys[target] == dirKeyDead {
-		d.dead--
-	}
-	d.keys[target] = key
-	d.entries[target] = dirEntry{sharers: coherence.NewSharerSetBacked(d.p, d.backing(uint64(target)))}
-	d.live++
-	return &d.entries[target]
-}
-
-// remove tombstones la's slot. The line must be present.
-func (d *dirTable) remove(la mem.Addr) {
-	i := d.probeIdx(la)
-	if i < 0 {
-		panic(fmt.Sprintf("sim: directory remove of absent line %#x", la))
-	}
-	d.entries[i] = dirEntry{}
-	d.keys[i] = dirKeyDead
-	d.live--
-	d.dead++
-}
-
-// grow rehashes into a table sized for the live population (doubling when
-// genuinely full, merely dropping tombstones otherwise), rebinding every
-// entry's sharer identities into the new arena.
-func (d *dirTable) grow() {
-	capacity := len(d.keys)
-	if (d.live+1)*2 >= capacity {
-		capacity *= 2
-	}
-	oldKeys, oldEntries := d.keys, d.entries
-	d.alloc(capacity)
-	for oi, key := range oldKeys {
-		if key == dirKeyEmpty || key == dirKeyDead {
-			continue
-		}
-		i := hashKey(key, d.shift)
-		for d.keys[i] != dirKeyEmpty {
-			i = (i + 1) & d.mask
-		}
-		d.keys[i] = key
-		d.entries[i] = oldEntries[oi]
+	old := d.entries
+	d.entries = make([]dirEntry, n)
+	copy(d.entries, old[:d.used])
+	d.arena = make([]int16, n*d.p)
+	for i := range d.entries[:d.used] {
 		d.entries[i].sharers.Rebind(d.backing(i))
-		d.live++
 	}
 }
 
-// clearAll empties the table, keeping its grown capacity. Only the key
-// array is wiped: entry records behind freed slots are unreachable (probe,
-// forEach and insert all gate on keys) and re-initialized on insertion,
-// and the sharer-identity arena needs no wiping either — every insert
-// rebinds the slot's segment as a zero-length set.
-func (d *dirTable) clearAll() {
-	if d.live == 0 && d.dead == 0 {
-		return
-	}
-	clear(d.keys)
-	d.live, d.dead = 0, 0
-}
-
-// reshape empties the table and re-carves its identity arena for a new
-// per-entry pointer count, reusing the slot array (whose capacity is the
-// dominant allocation). Sweeps that flip between ACKwise-p and full-map
-// variants reshape instead of rebuilding.
-func (d *dirTable) reshape(p int) {
-	d.clearAll()
+// reshape frees every slot, keeping the grown capacity, and re-carves the
+// identity arena when the per-entry pointer count p changes, reusing the
+// record array. Sweeps that flip between ACKwise-p and full-map variants
+// reshape instead of rebuilding.
+func (d *dirPool) reshape(p int) {
+	d.used = 0
+	d.free = d.free[:0]
 	if p == d.p {
 		return
 	}
 	d.p = p
-	if need := len(d.keys) * p; cap(d.arena) >= need {
+	if need := len(d.entries) * p; cap(d.arena) >= need {
 		d.arena = d.arena[:need]
 	} else {
 		d.arena = make([]int16, need)
 	}
 }
 
-func (d *dirTable) forEach(fn func(la mem.Addr, e *dirEntry)) {
-	for i, key := range d.keys {
-		if key != dirKeyEmpty && key != dirKeyDead {
-			fn(mem.Addr((key-1)<<mem.LineShift), &d.entries[i])
-		}
-	}
-}
-
-// tileDir is the per-tile directory handle: the flat table in the fast
-// core, a plain Go map in the reference core. Exactly one of the two
-// representations is active.
+// tileDir is the per-tile directory handle: the L2-linked pool in the fast
+// core, a plain Go map keyed by line address in the reference core.
+// Exactly one of the two representations is active; the pool's p is the
+// per-entry pointer count either way.
 type tileDir struct {
-	flat *dirTable
-	ref  map[mem.Addr]*dirEntry
-	p    int
+	dirPool
+	ref map[mem.Addr]*dirEntry
 }
 
-func newTileDir(p int, reference bool) tileDir {
+func newTileDir(p, l2Lines int, reference bool) tileDir {
 	if reference {
-		return tileDir{ref: make(map[mem.Addr]*dirEntry, dirTableInitialSlots), p: p}
+		return tileDir{dirPool: dirPool{p: p}, ref: make(map[mem.Addr]*dirEntry)}
 	}
-	return tileDir{flat: newDirTable(p), p: p}
+	return tileDir{dirPool: newDirPool(p, l2Lines)}
 }
 
-func (d *tileDir) probe(la mem.Addr) *dirEntry {
+// entry returns the directory entry of the home L2 line l, or nil when the
+// line has none (an instruction line or a replica).
+func (d *tileDir) entry(l *cache.Line) *dirEntry {
 	if d.ref != nil {
-		return d.ref[la]
+		return d.ref[l.Addr]
 	}
-	return d.flat.probe(la)
+	if l.Dir == 0 {
+		return nil
+	}
+	return &d.entries[l.Dir-1]
 }
 
-func (d *tileDir) insert(la mem.Addr) *dirEntry {
+// insert creates the entry of the home L2 line l, which must have none.
+func (d *tileDir) insert(l *cache.Line) *dirEntry {
 	if d.ref != nil {
 		e := &dirEntry{sharers: coherence.NewSharerSet(d.p)}
-		d.ref[la] = e
+		d.ref[l.Addr] = e
 		return e
 	}
-	return d.flat.insert(la)
+	return d.alloc(l)
 }
 
-func (d *tileDir) remove(la mem.Addr) {
+// remove drops the entry of l: the home L2 line or, for an L2 victim, the
+// copy Insert returned of it.
+func (d *tileDir) remove(l *cache.Line) {
 	if d.ref != nil {
-		delete(d.ref, la)
+		delete(d.ref, l.Addr)
 		return
 	}
-	d.flat.remove(la)
+	d.release(l.Dir)
+	l.Dir = 0
 }
 
-func (d *tileDir) forEach(fn func(la mem.Addr, e *dirEntry)) {
+// reshape empties the directory for simulator reuse (Simulator.Reset) and
+// adopts the per-entry pointer count p, reusing storage where the
+// representation allows (see dirPool.reshape).
+func (d *tileDir) reshape(p int) {
 	if d.ref != nil {
-		for la, e := range d.ref {
+		d.p = p
+		clear(d.ref)
+		return
+	}
+	d.dirPool.reshape(p)
+}
+
+// forEachEntry visits every directory entry of the tile: through the home
+// L2 lines' links in the fast core, through the map in the reference core.
+func (t *tile) forEachEntry(fn func(la mem.Addr, e *dirEntry)) {
+	if t.dir.ref != nil {
+		for la, e := range t.dir.ref {
 			fn(la, e)
 		}
 		return
 	}
-	d.flat.forEach(fn)
-}
-
-func (d *tileDir) size() int {
-	if d.ref != nil {
-		return len(d.ref)
-	}
-	return d.flat.live
-}
-
-// clear empties the directory for simulator reuse (Simulator.Reset).
-func (d *tileDir) clear() {
-	if d.ref != nil {
-		clear(d.ref)
-		return
-	}
-	d.flat.clearAll()
-}
-
-// reshape empties the directory and adopts a new per-entry pointer count,
-// reusing storage where the representation allows (see dirTable.reshape).
-func (d *tileDir) reshape(p int) {
-	d.p = p
-	if d.ref != nil {
-		clear(d.ref)
-		return
-	}
-	d.flat.reshape(p)
+	t.l2.ForEach(func(l *cache.Line) {
+		if l.Dir != 0 {
+			fn(l.Addr, &t.dir.entries[l.Dir-1])
+		}
+	})
 }
 
 // The per-core miss-classification history and the golden/DRAM version
 // stores are flatmap.Tables keyed by mem.LineKey: absent lines read as the
 // zero value, matching the reference maps' semantics.
 
-// histInitialSlots matches the old per-core history map's size hint.
-const histInitialSlots = 4096
+// histInitialSlots is the per-core history's first capacity. Tables grow
+// to a core's footprint and keep it across Reset; starting small spares a
+// 256-core machine 15 MB of history it fills only as lines are touched.
+const histInitialSlots = 256
 
 const verInitialSlots = 4096
 

@@ -467,8 +467,7 @@ func (p *hybridProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	}
 	p.mesh.Unicast(c.id, home, flits, t)
 
-	ht := &p.tiles[home]
-	entry := ht.dir.probe(la)
+	l2line, entry := p.homeEntry(home, la)
 	if entry == nil {
 		if p.relaxed() {
 			// Torn down by a concurrent L2 eviction or page move; the
@@ -476,13 +475,6 @@ func (p *hybridProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 			return
 		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
-	}
-	l2line := ht.l2.Probe(la)
-	if l2line == nil {
-		if p.relaxed() {
-			return
-		}
-		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
 		l2line.Version = victim.Version

@@ -252,17 +252,19 @@ func (m *Machine) Snapshot(lines []mem.Addr) []LineSnapshot {
 		}
 		for home := range s.tiles {
 			ht := &s.tiles[home]
-			if l2 := ht.l2.Probe(la); l2 != nil {
-				if l2.State == lineReplica {
-					ls.Copies = append(ls.Copies, CopySnapshot{
-						Core: home, State: CopyReplica,
-						Dirty: l2.Dirty, Version: l2.Version, Util: l2.Util,
-					})
-				} else {
-					ls.L2 = &L2Snapshot{Home: home, Version: l2.Version, Dirty: l2.Dirty}
-				}
+			l2 := ht.l2.Probe(la)
+			if l2 == nil {
+				continue
 			}
-			if e := ht.dir.probe(la); e != nil {
+			if l2.State == lineReplica {
+				ls.Copies = append(ls.Copies, CopySnapshot{
+					Core: home, State: CopyReplica,
+					Dirty: l2.Dirty, Version: l2.Version, Util: l2.Util,
+				})
+			} else {
+				ls.L2 = &L2Snapshot{Home: home, Version: l2.Version, Dirty: l2.Dirty}
+			}
+			if e := ht.dir.entry(l2); e != nil {
 				d := &DirSnapshot{
 					Home:       home,
 					State:      e.state,

@@ -282,7 +282,7 @@ func (p *neatProtocol) syncSelfInvalidate(c *coreState) {
 		la, home := v.Addr, int(v.Home)
 		p.mesh.Unicast(c.id, home, 1, c.now)
 		p.lockHome(home)
-		entry := p.tiles[home].dir.probe(la)
+		_, entry := p.homeEntry(home, la)
 		if entry != nil && entry.state == coherence.SharedState {
 			// The overflow count stands in for unidentified sharers, so the
 			// relaxed guard must ask MaybeSharer, not Contains.
@@ -315,8 +315,7 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 	}
 	p.mesh.Unicast(c.id, home, flits, t)
 
-	ht := &p.tiles[home]
-	entry := ht.dir.probe(la)
+	l2line, entry := p.homeEntry(home, la)
 	if entry == nil {
 		if p.relaxed() {
 			// Torn down by a concurrent L2 eviction or page move; the
@@ -324,13 +323,6 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 			return
 		}
 		panic(fmt.Sprintf("sim: eviction of line %#x without directory entry", la))
-	}
-	l2line := ht.l2.Probe(la)
-	if l2line == nil {
-		if p.relaxed() {
-			return
-		}
-		panic(fmt.Sprintf("sim: eviction of line %#x absent from inclusive L2", la))
 	}
 	if victim.Dirty {
 		l2line.Version = victim.Version
@@ -359,8 +351,7 @@ func (p *neatProtocol) L1Evict(c *coreState, victim cache.Line, t mem.Cycle) {
 // entry and are dropped.
 func (p *neatProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 	la := victim.Addr
-	ht := &p.tiles[home]
-	entry := ht.dir.probe(la)
+	entry := p.tiles[home].dir.entry(&victim)
 	if entry == nil {
 		return // read-only instruction replica
 	}
@@ -425,7 +416,7 @@ func (p *neatProtocol) L2Evict(home int, victim cache.Line, t mem.Cycle) {
 		p.dramVerSet(la, version)
 		p.meter.L2LineReads++
 	}
-	p.removeDirEntry(home, la, entry)
+	p.removeDirEntry(home, &victim, entry)
 }
 
 // PageMove applies the R-NUCA private→shared reclassification through the
@@ -444,10 +435,9 @@ func (p *neatProtocol) PageMove(recl *nuca.Reclassification, t mem.Cycle) {
 		if l2line == nil {
 			continue
 		}
-		entry := ht.dir.probe(la)
-		if entry != nil {
+		if entry := ht.dir.entry(l2line); entry != nil {
 			p.invalidateSharers(oldHome, la, entry, l2line, -1, t)
-			p.removeDirEntry(oldHome, la, entry)
+			p.removeDirEntry(oldHome, l2line, entry)
 		}
 		old, _ := ht.l2.Invalidate(la)
 		ctrl := p.dram.ControllerOf(la)

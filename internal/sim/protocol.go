@@ -175,48 +175,30 @@ func (s *Simulator) l1DataHit(c *coreState, line *cache.Line, kind mem.AccessKin
 // access. It returns the entry, the line, the advanced time and the
 // wait/off-chip latency components.
 //
-// Both home-side lookups are accelerated by per-core MRU hints: a core
-// performing word-granular remote accesses walks the same (home, line)
-// transaction back to back, so the directory slot (epoch-guarded against
-// table reallocation, see dirTable.epoch) and the home L2 line
-// (cache.Holds) usually validate without a probe. Hints are probe results
-// only — validation failure falls back to the full probes — so behavior is
-// bit-identical with or without them.
+// The directory is integrated with the L2 (see dirPool): the entry is read
+// off the home L2 line, so the one L2 probe finds both. That probe is
+// accelerated by a per-core MRU hint: a core performing word-granular
+// remote accesses walks the same (home, line) transaction back to back, so
+// the previous home L2 line usually validates (cache.Holds) without a tag
+// scan. The hint is a probe result only — validation failure falls back to
+// the probe — so behavior is bit-identical with or without it.
 func (s *Simulator) lookupEntry(p protocolCore, c *coreState, home int, la mem.Addr, t mem.Cycle) (
 	entry *dirEntry, l2line *cache.Line, tOut, wait, offchip mem.Cycle) {
 
 	ht := &s.tiles[home]
-	if d := ht.dir.flat; d != nil {
-		// An epoch match guarantees dirHintIdx was taken against the
-		// current arrays, so the bounds and the key comparison are sound;
-		// removal tombstones and wholesale clears rewrite the key word, so
-		// a stale hint can never validate.
-		if c.dirHintTile == int32(home) && c.dirHintEpoch == d.epoch &&
-			d.keys[c.dirHintIdx] == mem.LineKey(la) {
-			entry = &d.entries[c.dirHintIdx]
-		} else if i := d.probeIdx(la); i >= 0 {
-			entry = &d.entries[i]
-			c.dirHintIdx, c.dirHintEpoch, c.dirHintTile = int32(i), d.epoch, int32(home)
-		}
-	} else {
-		entry = ht.dir.probe(la)
-	}
 	if hl := c.l2Hint; c.l2HintTile == int32(home) && ht.l2.Holds(hl, la) {
 		l2line = hl
 	} else if l2line = ht.l2.Probe(la); l2line != nil {
 		c.l2Hint, c.l2HintTile = l2line, int32(home)
 	}
 	if l2line == nil {
-		if entry != nil {
-			panic(fmt.Sprintf("sim: directory entry without L2 line %#x", la))
-		}
 		var fillDone mem.Cycle
 		l2line, fillDone = s.l2Fill(home, la, t)
 		offchip = fillDone - t
 		t = fillDone
-		entry = ht.dir.insert(la)
+		entry = ht.dir.insert(l2line)
 		p.initDirEntry(entry)
-	} else if entry == nil {
+	} else if entry = ht.dir.entry(l2line); entry == nil {
 		panic(fmt.Sprintf("sim: data access to instruction line %#x", la))
 	}
 
@@ -248,6 +230,18 @@ func (s *Simulator) missOutcome(c *coreState, la mem.Addr, upgrade bool) stats.M
 	default:
 		return stats.MissWord
 	}
+}
+
+// homeEntry probes la's home L2 slice once and returns the line with its
+// directory entry: both nil when the slice does not hold the line, a nil
+// entry for a line without one (an instruction line).
+func (s *Simulator) homeEntry(home int, la mem.Addr) (*cache.Line, *dirEntry) {
+	ht := &s.tiles[home]
+	l := ht.l2.Probe(la)
+	if l == nil {
+		return nil, nil
+	}
+	return l, ht.dir.entry(l)
 }
 
 // tileHasCopy reports whether a tile holds the line privately — in its L1

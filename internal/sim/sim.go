@@ -43,9 +43,9 @@ const codeBase mem.Addr = 1 << 40
 
 // dirEntry is a directory entry integrated with an L2 line: MESI state,
 // ACKwise sharer list and the locality classifier of the paper. Entries are
-// stored by value inside the flat directory table (see flat.go); only the
-// adaptive protocol populates cls, drawing from the simulator's classifier
-// pool.
+// stored by value in the tile's directory pool and named by their home L2
+// line (see flat.go); only the classifying protocols populate cls, drawing
+// from the simulator's classifier pool.
 type dirEntry struct {
 	state     coherence.State
 	sharers   coherence.SharerSet
@@ -84,14 +84,10 @@ type coreState struct {
 	// behavior is bit-identical with or without it.
 	lastL1D *cache.Line
 
-	// Home-side MRU hints for lookupEntry: the directory slot index
-	// (epoch-guarded, fast core only) and home L2 line the core's previous
-	// miss transaction resolved to. See lookupEntry.
-	dirHintIdx   int32
-	dirHintEpoch uint32
-	dirHintTile  int32
-	l2Hint       *cache.Line
-	l2HintTile   int32
+	// Home-side MRU hint for lookupEntry: the home L2 line (and so the
+	// directory entry) the core's previous miss transaction resolved to.
+	l2Hint     *cache.Line
+	l2HintTile int32
 
 	l1iHits   uint64
 	l1iMisses uint64
@@ -219,6 +215,9 @@ type Simulator struct {
 	bcastEvict []mem.Cycle
 
 	runQ coreQueue
+
+	// auditSlots is Audit's per-tile slot-claim scratch (see auditLinks).
+	auditSlots []uint8
 }
 
 // New builds a simulator for cfg.
@@ -258,7 +257,7 @@ func dirPointersFor(cfg Config) int {
 // Reset re-initializes the simulator for cfg so the next Run behaves
 // exactly as on a freshly constructed Simulator — same results bit for bit
 // — while reusing the allocated storage wherever the old and new
-// configurations agree: the flat directory/history/version tables, cache
+// configurations agree: the directory pools, history/version tables, cache
 // tag arrays, classifier slabs, mesh and DRAM queues are cleared in place
 // instead of reallocated. Components whose geometry changed are rebuilt.
 // The experiment layer's worker pool calls this between jobs; sweeps
@@ -311,54 +310,52 @@ func (s *Simulator) Reset(cfg Config) error {
 	// The classifier pool survives a reset when a classifying protocol
 	// (adaptive or hybrid) keeps the same (cores, k) shape; outstanding
 	// classifiers are reclaimed from the old directory entries below, so
-	// slabs are never re-carved.
+	// slabs are never re-carved. Released slots hold zeroed records, so
+	// the walk covers the slots handed out, not the L2 tag arrays.
 	keepPool := !s.reference && s.clsPool != nil &&
 		(cfg.protocolKind() == ProtocolAdaptive || cfg.protocolKind() == ProtocolHybrid) &&
 		s.clsPool.Matches(cfg.Cores, cfg.ClassifierK)
 	if keepPool && !fresh {
 		for i := range s.tiles {
-			s.tiles[i].dir.forEach(func(_ mem.Addr, e *dirEntry) {
-				if e.cls != nil {
+			d := &s.tiles[i].dir
+			for j := range d.entries[:d.used] {
+				if e := &d.entries[j]; e.cls != nil {
 					s.clsPool.Put(e.cls)
 					e.cls = nil
 				}
-			})
+			}
 		}
 	}
 	if !keepPool {
 		s.clsPool = nil // the adaptive factory rebuilds it on demand
 	}
 
-	// The cache arrays and the directory tables have independent reuse
-	// conditions: a sweep flipping between ACKwise-p and full-map variants
-	// changes only the per-entry sharer pointer width, so the (much
-	// larger) tag arrays are kept and only the directories are recarved.
+	// The directory pools are sized by the L2s, so they are kept with the
+	// cache arrays: a sweep flipping between ACKwise-p and full-map
+	// variants changes only the per-entry sharer pointer width, and
+	// reshape re-carves just the identity arenas.
 	dirPointers := dirPointersFor(cfg)
 	sameCaches := !fresh && len(s.tiles) == cfg.Cores &&
 		old.L1ISizeKB == cfg.L1ISizeKB && old.L1IWays == cfg.L1IWays &&
 		old.L1DSizeKB == cfg.L1DSizeKB && old.L1DWays == cfg.L1DWays &&
 		old.L2SizeKB == cfg.L2SizeKB && old.L2Ways == cfg.L2Ways
-	sameDir := sameCaches && dirPointersFor(old) == dirPointers
 	if sameCaches {
 		for i := range s.tiles {
 			t := &s.tiles[i]
 			t.l1i.Reset()
 			t.l1d.Reset()
 			t.l2.Reset()
-			if sameDir {
-				t.dir.clear()
-			} else {
-				t.dir.reshape(dirPointers)
-			}
+			t.dir.reshape(dirPointers)
 		}
 	} else {
 		s.tiles = make([]tile, cfg.Cores)
 		for i := range s.tiles {
+			l2 := cache.New(cfg.L2SizeKB*1024, cfg.L2Ways)
 			s.tiles[i] = tile{
 				l1i: cache.New(cfg.L1ISizeKB*1024, cfg.L1IWays),
 				l1d: cache.New(cfg.L1DSizeKB*1024, cfg.L1DWays),
-				l2:  cache.New(cfg.L2SizeKB*1024, cfg.L2Ways),
-				dir: newTileDir(dirPointers, s.reference),
+				l2:  l2,
+				dir: newTileDir(dirPointers, l2.Sets()*l2.Ways(), s.reference),
 			}
 		}
 	}
@@ -667,9 +664,10 @@ func (s *Simulator) checkVersion(ctx string, la mem.Addr, ver uint64) {
 	}
 }
 
-// removeDirEntry releases la's directory entry at its home tile, recycling
-// the entry's classifier through the pool in the fast core.
-func (s *Simulator) removeDirEntry(home int, la mem.Addr, e *dirEntry) {
+// removeDirEntry releases the directory entry e of the home L2 line l (or
+// of its victim copy), recycling the entry's classifier through the pool in
+// the fast core.
+func (s *Simulator) removeDirEntry(home int, l *cache.Line, e *dirEntry) {
 	if e.cls != nil {
 		if !s.reference {
 			if s.sh != nil {
@@ -682,7 +680,7 @@ func (s *Simulator) removeDirEntry(home int, la mem.Addr, e *dirEntry) {
 		}
 		e.cls = nil
 	}
-	s.tiles[home].dir.remove(la)
+	s.tiles[home].dir.remove(l)
 }
 
 // borrowIDs returns a reusable copy of src, so mutating multicast loops can

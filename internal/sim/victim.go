@@ -140,8 +140,7 @@ func (s *adaptiveProtocol) notifyReplicaEviction(tile int, victim cache.Line, t 
 	home := int(victim.Home)
 	s.mesh.Unicast(tile, home, 1, t)
 
-	ht := &s.tiles[home]
-	entry := ht.dir.probe(la)
+	_, entry := s.homeEntry(home, la)
 	if entry == nil {
 		panic(fmt.Sprintf("sim: replica eviction of line %#x without directory entry", la))
 	}
